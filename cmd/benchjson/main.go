@@ -252,7 +252,7 @@ func main() {
 	// replays an unchanged design from the store, NearHit routes ordinary-
 	// valve nudges warm-seeded by the cached parent (byte-identical output),
 	// and NearHitLM nudges a length-matching valve — the edit class that
-	// invalidates its own cluster's candidates and re-runs the MWCP ILP, so
+	// invalidates its own cluster's candidates and re-runs the MWCP solver, so
 	// its speedup is bounded by the negotiation replays alone.
 	if d5, err := bench.Generate("S5"); err == nil {
 		params := pacor.DefaultParams()
@@ -319,7 +319,7 @@ func main() {
 			"ordinary-valve nudges of S5 warm-seeded by the cached parent (negotiation replay + LM candidate/selection replay, byte-identical output)")
 		tag("EditLoopNearHit", "auto", "S", "flat")
 		record("EditLoopNearHitLM", bestOf(3, nearRow(lmNudges)),
-			"LM-valve nudges of S5: the moved cluster re-runs candidates and the ILP, only negotiation replays (byte-identical output)")
+			"LM-valve nudges of S5: the moved cluster re-runs candidates and the selection, only negotiation replays (byte-identical output)")
 		tag("EditLoopNearHitLM", "auto", "S", "flat")
 
 		chainTo := func(name string) {

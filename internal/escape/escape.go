@@ -48,18 +48,18 @@ type Result struct {
 	TotalLen int
 }
 
-// Route solves the escape problem. obs must contain every existing channel
-// cell, valve, and chip obstacle; take-off cells may (and normally do) lie
-// on blocked cells — they are junctions on existing channels. pins is the
-// candidate control pin set CP.
-func Route(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt) *Result {
+// Network builds the Section 5 escape flow network that Route solves and
+// returns it with its source and sink. Node ids: in(c) = 2c and
+// out(c) = 2c+1 for every grid cell c, then S, T, then one node per
+// terminal. It is exposed so the min-cost flow can be exercised on real
+// escape instances without the path decoding around it.
+func Network(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt) (net *mcf.Graph, S, T int) {
 	g := obs.Grid()
 	cells := g.Cells()
-	// Node ids: in(c) = 2c, out(c) = 2c+1, then S, T, then cluster nodes.
-	S := 2 * cells
-	T := S + 1
+	S = 2 * cells
+	T = S + 1
 	base := T + 1
-	net := mcf.NewGraph(base + len(terms))
+	net = mcf.NewGraph(base + len(terms))
 
 	pinSet := make(map[geom.Pt]bool, len(pins))
 	for _, p := range pins {
@@ -131,7 +131,17 @@ func Route(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt) *Result {
 			}
 		}
 	}
+	return net, S, T
+}
 
+// Route solves the escape problem. obs must contain every existing channel
+// cell, valve, and chip obstacle; take-off cells may (and normally do) lie
+// on blocked cells — they are junctions on existing channels. pins is the
+// candidate control pin set CP.
+func Route(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt) *Result {
+	g := obs.Grid()
+	net, S, T := Network(obs, terms, pins)
+	base := T + 1
 	flow, _ := net.MinCostFlow(S, T, -1)
 	res := &Result{
 		Paths: make(map[int]grid.Path),

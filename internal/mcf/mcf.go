@@ -13,11 +13,18 @@ import (
 )
 
 // Graph is a directed flow network over nodes 0..n-1.
+//
+// Adjacency is kept in compressed (CSR) form: the arc ids leaving node u are
+// adj[off[u]:off[u+1]], in increasing id order. It is built lazily by the
+// first solve after the structure changed (AddArc or AddNode), so building
+// the network costs one append per arc instead of one per arc end; Reset,
+// Commit and SetCost leave the structure alone and keep the CSR valid.
 type Graph struct {
 	n    int
-	arcs []arc     // forward/backward arcs interleaved: arc i pairs with i^1
-	head [][]int32 // adjacency: arc indices per node
-	orig []int32   // as-built capacity per arc pair (indexed id/2), for Reset
+	arcs []arc   // forward/backward arcs interleaved: arc i pairs with i^1
+	orig []int32 // as-built capacity per arc pair (indexed id/2), for Reset
+	off  []int32 // CSR offsets, len n+1 once built
+	adj  []int32 // CSR arc ids, len(arcs) once built
 }
 
 type arc struct {
@@ -31,7 +38,7 @@ func NewGraph(n int) *Graph {
 	if n <= 0 {
 		panic(fmt.Sprintf("mcf: invalid node count %d", n))
 	}
-	return &Graph{n: n, head: make([][]int32, n)}
+	return &Graph{n: n}
 }
 
 // N returns the number of nodes.
@@ -39,7 +46,6 @@ func (g *Graph) N() int { return g.n }
 
 // AddNode appends one node and returns its index.
 func (g *Graph) AddNode() int {
-	g.head = append(g.head, nil)
 	g.n++
 	return g.n - 1
 }
@@ -58,9 +64,42 @@ func (g *Graph) AddArc(from, to, capacity, cost int) int {
 	g.arcs = append(g.arcs, arc{to: int32(to), cap: int32(capacity), cost: int32(cost)})
 	g.arcs = append(g.arcs, arc{to: int32(from), cap: 0, cost: int32(-cost)})
 	g.orig = append(g.orig, int32(capacity))
-	g.head[from] = append(g.head[from], int32(id))
-	g.head[to] = append(g.head[to], int32(id+1))
 	return id
+}
+
+// adjacency returns the CSR arrays, rebuilding them if arcs or nodes were
+// added since the last build. Arc ids go in increasing order per node — the
+// order AddArc created them in — which fixes every relaxation tie-break.
+// Arc i leaves node arcs[i^1].to.
+func (g *Graph) adjacency() (off, adj []int32) {
+	if len(g.off) == g.n+1 && len(g.adj) == len(g.arcs) {
+		return g.off, g.adj
+	}
+	if cap(g.off) < g.n+1 {
+		g.off = make([]int32, g.n+1)
+	}
+	g.off = g.off[:g.n+1]
+	clear(g.off)
+	if cap(g.adj) < len(g.arcs) {
+		g.adj = make([]int32, len(g.arcs))
+	}
+	g.adj = g.adj[:len(g.arcs)]
+	for i := range g.arcs {
+		g.off[g.arcs[i^1].to+1]++
+	}
+	for u := 0; u < g.n; u++ {
+		g.off[u+1] += g.off[u]
+	}
+	// Fill with off[u] as node u's cursor, then shift the cursors (now each
+	// node's end) back into starts.
+	for i := range g.arcs {
+		u := g.arcs[i^1].to
+		g.adj[g.off[u]] = int32(i)
+		g.off[u]++
+	}
+	copy(g.off[1:], g.off[:g.n])
+	g.off[0] = 0
+	return g.off, g.adj
 }
 
 // Reset restores every arc to its as-built capacity, erasing all flow —
@@ -133,11 +172,17 @@ func (g *Graph) MinCostFlow(s, t, maxFlow int) (flow, cost int) {
 // container/heap over a d-ordered slice, so the node settle order — and with
 // it every tie-break in the computed flow — is identical to the boxed
 // implementation it replaced.
+//
+// Work per augmentation is proportional to the nodes the Dijkstra pass
+// touched, not to the graph: dist is kept at inf between passes by resetting
+// only the touched nodes, and the potential update is applied to touched
+// nodes only, shifted so untouched nodes need no write (see MinCostFlow).
 type Solver struct {
-	pot    []int64
-	dist   []int64
-	inqArc []int32
-	heap   []nodeItem
+	pot     []int64
+	dist    []int64 // inf everywhere between Dijkstra passes
+	inqArc  []int32
+	touched []int32 // nodes whose dist the current pass made finite
+	heap    []nodeItem
 }
 
 // NewSolver returns an empty solver arena.
@@ -153,7 +198,12 @@ func (s *Solver) MinCostFlow(g *Graph, src, dst, maxFlow int) (flow, cost int) {
 		s.pot = make([]int64, g.n)
 		s.dist = make([]int64, g.n)
 		s.inqArc = make([]int32, g.n)
+		for i := range s.dist {
+			s.dist[i] = inf
+			s.inqArc[i] = -1
+		}
 	}
+	off, adj := g.adjacency()
 	pot, dist, inqArc := s.pot[:g.n], s.dist[:g.n], s.inqArc[:g.n]
 	s.initPotentials(g, src, pot)
 	want := int64(inf)
@@ -163,11 +213,8 @@ func (s *Solver) MinCostFlow(g *Graph, src, dst, maxFlow int) (flow, cost int) {
 	var totalFlow, totalCost int64
 	for totalFlow < want {
 		// Dijkstra with reduced costs.
-		for i := range dist {
-			dist[i] = inf
-			inqArc[i] = -1
-		}
 		dist[src] = 0
+		s.touched = append(s.touched[:0], int32(src))
 		s.heap = s.heap[:0]
 		s.hpush(nodeItem{node: int32(src), d: 0})
 		distT := int64(inf)
@@ -181,7 +228,7 @@ func (s *Solver) MinCostFlow(g *Graph, src, dst, maxFlow int) (flow, cost int) {
 				distT = it.d
 				break // early exit: nodes beyond t keep dist >= distT
 			}
-			for _, ai := range g.head[u] {
+			for _, ai := range adj[off[u]:off[u+1]] {
 				a := g.arcs[ai]
 				if a.cap <= 0 {
 					continue
@@ -189,6 +236,9 @@ func (s *Solver) MinCostFlow(g *Graph, src, dst, maxFlow int) (flow, cost int) {
 				v := int(a.to)
 				nd := dist[u] + int64(a.cost) + pot[u] - pot[v]
 				if nd < dist[v] {
+					if dist[v] == inf {
+						s.touched = append(s.touched, int32(v))
+					}
 					dist[v] = nd
 					inqArc[v] = ai
 					s.hpush(nodeItem{node: int32(v), d: nd})
@@ -196,17 +246,20 @@ func (s *Solver) MinCostFlow(g *Graph, src, dst, maxFlow int) (flow, cost int) {
 			}
 		}
 		if distT >= inf {
+			s.clearTouched(dist, inqArc)
 			break // t unreachable: done
 		}
-		// Potential update with early exit: unvisited nodes (and nodes with
-		// tentative distance beyond distT) clamp to distT, preserving
-		// reduced-cost nonnegativity.
-		for i := 0; i < g.n; i++ {
-			d := dist[i]
-			if d > distT {
-				d = distT
+		// Potential update with early exit. The textbook step adds
+		// min(dist, distT) to every node, so an untouched node gains exactly
+		// distT. Subtracting distT from every node's step changes no
+		// difference pot[u]-pot[v] — the only way potentials enter a reduced
+		// cost — so every later comparison, and with it the settle order, is
+		// the same integer as with the full sweep, while untouched nodes need
+		// no write at all.
+		for _, v := range s.touched {
+			if d := dist[v]; d < distT {
+				pot[v] += d - distT
 			}
-			pot[i] += d
 		}
 		// Bottleneck along the path.
 		push := want - totalFlow
@@ -225,8 +278,18 @@ func (s *Solver) MinCostFlow(g *Graph, src, dst, maxFlow int) (flow, cost int) {
 			v = int(g.arcs[ai^1].to)
 		}
 		totalFlow += push
+		s.clearTouched(dist, inqArc)
 	}
 	return int(totalFlow), int(totalCost)
+}
+
+// clearTouched restores dist to inf (and inqArc to -1) on the nodes the last
+// Dijkstra pass reached, re-establishing the between-passes invariant.
+func (s *Solver) clearTouched(dist []int64, inqArc []int32) {
+	for _, v := range s.touched {
+		dist[v] = inf
+		inqArc[v] = -1
+	}
 }
 
 // initPotentials fills pot via Bellman-Ford from src to support negative arc
@@ -245,6 +308,7 @@ func (s *Solver) initPotentials(g *Graph, src int, pot []int64) {
 		}
 		return
 	}
+	off, adj := g.adjacency()
 	for i := range pot {
 		pot[i] = inf
 	}
@@ -255,7 +319,7 @@ func (s *Solver) initPotentials(g *Graph, src int, pot []int64) {
 			if pot[u] >= inf {
 				continue
 			}
-			for _, ai := range g.head[u] {
+			for _, ai := range adj[off[u]:off[u+1]] {
 				a := g.arcs[ai]
 				if a.cap <= 0 {
 					continue
@@ -329,26 +393,34 @@ func (s *Solver) hpop() nodeItem {
 // paths (each a node sequence s..t). It consumes a copy of the flow, leaving
 // the graph state untouched. Cycles in the flow (possible in principle, not
 // produced by successive shortest paths with nonnegative costs) are dropped.
+// As MinCostFlow carries no flow from a node to itself, s == t yields none.
 func (g *Graph) DecomposeUnitPaths(s, t int) [][]int {
+	if s == t {
+		return nil
+	}
+	off, adj := g.adjacency()
 	residFlow := make([]int32, len(g.arcs))
 	for i := 0; i < len(g.arcs); i += 2 {
 		residFlow[i] = g.arcs[i^1].cap // flow on forward arc i
 	}
+	// seen[v] == stamp marks v as already on the current path; the stamp
+	// advances per path, so the array is never cleared.
+	seen := make([]int32, g.n)
 	var paths [][]int
-	for {
+	for stamp := int32(1); ; stamp++ {
 		// Walk from s following arcs with positive flow.
 		path := []int{s}
 		arcsUsed := []int{}
 		u := s
-		visited := map[int]bool{s: true}
+		seen[s] = stamp
 		found := true
 		for u != t {
 			next := -1
-			for _, ai := range g.head[u] {
+			for _, ai := range adj[off[u]:off[u+1]] {
 				if ai&1 == 1 { // backward arc
 					continue
 				}
-				if residFlow[ai] > 0 && !visited[int(g.arcs[ai].to)] {
+				if residFlow[ai] > 0 && seen[g.arcs[ai].to] != stamp {
 					next = int(ai)
 					break
 				}
@@ -358,7 +430,7 @@ func (g *Graph) DecomposeUnitPaths(s, t int) [][]int {
 				break
 			}
 			u = int(g.arcs[next].to)
-			visited[u] = true
+			seen[u] = stamp
 			path = append(path, u)
 			arcsUsed = append(arcsUsed, next)
 		}

@@ -88,6 +88,11 @@ func TestSelfSourceSink(t *testing.T) {
 	if flow != 0 || cost != 0 {
 		t.Fatal("s==t must be 0 flow")
 	}
+	// The decomposition walk starts at t when s == t; it must not emit the
+	// one-node path [s] forever.
+	if paths := g.DecomposeUnitPaths(0, 0); len(paths) != 0 {
+		t.Fatalf("s==t decomposed into %v, want no paths", paths)
+	}
 }
 
 func TestNegativeCosts(t *testing.T) {

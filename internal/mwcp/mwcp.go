@@ -79,12 +79,39 @@ func (s *Selection) Value(pick []int) float64 {
 	return v
 }
 
-// SolveExact finds the optimal pick by branch and bound over groups.
-// Groups are ordered smallest-first to tighten early pruning. The bound
-// adds, for every unassigned group, its best node weight plus the best
-// possible pairwise interaction with already-picked and future candidates
-// (0 when all pair weights are non-positive, as in PACOR's cost model).
+// ExactNodeBudget is the number of branch-and-bound nodes SolveExact may
+// visit before it gives up with ErrNodeBudget. A node costs well under a
+// microsecond at seltree's 96-candidate local-search threshold, so the
+// budget caps a solve at a fraction of a second on any instance there; a
+// fully dense 16 x 6 instance needs about twice the budget, while every
+// Table 1 selection finishes orders of magnitude below it.
+const ExactNodeBudget = 1 << 21
+
+// ErrNodeBudget reports that an exact search ran out of its node budget
+// before proving an optimum.
+var ErrNodeBudget = errors.New("mwcp: exact search exceeded its node budget")
+
+// SolveExact finds the optimal pick by branch and bound over groups, within
+// ExactNodeBudget nodes (see SolveExactBudget).
 func SolveExact(s *Selection) ([]int, float64, error) {
+	return SolveExactBudget(s, ExactNodeBudget)
+}
+
+// SolveExactBudget is SolveExact with an explicit budget of branch-and-bound
+// nodes; it returns ErrNodeBudget once the search has visited more. The
+// count is deterministic: the same instance and budget always succeed or
+// fail alike. Groups are ordered smallest-first to tighten early pruning,
+// and candidates are tried in group order; the first pick reaching the
+// optimum wins ties.
+//
+// The bound adds, for every unassigned group, the most any of its
+// candidates c can contribute: its node weight, its exact pair weights to
+// the candidates already picked, and for every unassigned group after its
+// own in the search order the best pair weight it could have with that
+// group. Counting the pair weights — PACOR's overlap penalties — is what
+// makes dense instances tractable: a bound on node weights alone never sees
+// them.
+func SolveExactBudget(s *Selection, maxNodes int) ([]int, float64, error) {
 	if err := s.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -96,65 +123,90 @@ func SolveExact(s *Selection) ([]int, float64, error) {
 		return len(s.Groups[order[a]]) < len(s.Groups[order[b]])
 	})
 
-	// optimistic[g] = best node weight in group g plus best non-negative
-	// pairwise weight it could collect from every other group.
-	optimistic := make([]float64, len(s.Groups))
-	for gi, g := range s.Groups {
-		best := math.Inf(-1)
-		for _, c := range g {
+	// reach[depth][c] bounds what candidate c can add once the groups
+	// order[:depth] are picked. reach[0] holds c's node weight plus, for
+	// every group after c's own in the search order, the best pair weight c
+	// could have with it; each level then adds the exact pair weight to the
+	// candidate just picked. A pair of unassigned groups is thus counted
+	// once, in the earlier group's term, at its most favorable value.
+	n := len(s.NodeW)
+	reach := make([][]float64, len(order)+1)
+	for i := range reach {
+		reach[i] = make([]float64, n)
+	}
+	for k, gi := range order {
+		for _, c := range s.Groups[gi] {
 			v := s.NodeW[c]
-			for gj, h := range s.Groups {
-				if gj == gi {
-					continue
-				}
-				bestPair := 0.0
-				for _, d := range h {
+			for _, gj := range order[k+1:] {
+				bestPair := math.Inf(-1)
+				for _, d := range s.Groups[gj] {
 					if w := s.PairW[c][d]; w > bestPair {
 						bestPair = w
 					}
 				}
 				v += bestPair
 			}
-			if v > best {
-				best = v
-			}
+			reach[0][c] = v
 		}
-		optimistic[gi] = best
 	}
 
 	bestVal := math.Inf(-1)
 	var bestPick []int
 	pick := make([]int, 0, len(s.Groups))
+	nodes := 0
 
-	var rec func(depth int, acc float64)
-	rec = func(depth int, acc float64) {
+	// rec reports false once the node budget is spent.
+	var rec func(depth int, acc float64) bool
+	rec = func(depth int, acc float64) bool {
+		if nodes++; nodes > maxNodes {
+			return false
+		}
 		if depth == len(order) {
 			if acc > bestVal {
 				bestVal = acc
 				bestPick = append([]int(nil), pick...)
 			}
-			return
+			return true
 		}
 		// Upper bound for remaining groups.
+		cur := reach[depth]
 		ub := acc
 		for _, gi := range order[depth:] {
-			ub += optimistic[gi]
+			best := math.Inf(-1)
+			for _, c := range s.Groups[gi] {
+				if cur[c] > best {
+					best = cur[c]
+				}
+			}
+			ub += best
 		}
 		if ub <= bestVal+1e-12 {
-			return
+			return true
 		}
 		gi := order[depth]
+		next := reach[depth+1]
 		for _, c := range s.Groups[gi] {
 			delta := s.NodeW[c]
 			for _, p := range pick {
 				delta += s.PairW[c][p]
 			}
+			row := s.PairW[c]
+			for _, gj := range order[depth+1:] {
+				for _, d := range s.Groups[gj] {
+					next[d] = cur[d] + row[d]
+				}
+			}
 			pick = append(pick, c)
-			rec(depth+1, acc+delta)
+			if !rec(depth+1, acc+delta) {
+				return false
+			}
 			pick = pick[:len(pick)-1]
 		}
+		return true
 	}
-	rec(0, 0)
+	if !rec(0, 0) {
+		return nil, 0, ErrNodeBudget
+	}
 	if bestPick == nil {
 		return nil, 0, errors.New("mwcp: no feasible pick (empty groups?)")
 	}

@@ -1,8 +1,11 @@
 package mwcp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -248,4 +251,158 @@ func TestCliqueSelfLoopPanics(t *testing.T) {
 		}
 	}()
 	NewCliqueGraph(2).AddEdge(1, 1)
+}
+
+// denseSel is a selection where two candidates of different groups carry a
+// negative pair weight with probability density; density 1 is the hardest
+// shape for the exact search.
+func denseSel(nGroups, perGroup int, density float64, seed int64) *Selection {
+	rng := rand.New(rand.NewSource(seed))
+	n := nGroups * perGroup
+	s := &Selection{NodeW: make([]float64, n), PairW: make([][]float64, n)}
+	for i := range s.PairW {
+		s.PairW[i] = make([]float64, n)
+		s.NodeW[i] = -rng.Float64()
+	}
+	for g := 0; g < nGroups; g++ {
+		var grp []int
+		for k := 0; k < perGroup; k++ {
+			grp = append(grp, g*perGroup+k)
+		}
+		s.Groups = append(s.Groups, grp)
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if a/perGroup != b/perGroup && rng.Float64() < density {
+				w := -rng.Float64()
+				s.PairW[a][b], s.PairW[b][a] = w, w
+			}
+		}
+	}
+	return s
+}
+
+// solveExactNodeBound is SolveExact as it was before its bound counted pair
+// weights to picked candidates: each unassigned group contributes only its
+// best node weight. It is kept to pin that the tighter bound prunes more
+// without changing which optimum is returned.
+func solveExactNodeBound(s *Selection) ([]int, float64) {
+	order := make([]int, len(s.Groups))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		return len(s.Groups[order[a]]) < len(s.Groups[order[b]])
+	})
+	optimistic := make([]float64, len(s.Groups))
+	for gi, g := range s.Groups {
+		best := math.Inf(-1)
+		for _, c := range g {
+			v := s.NodeW[c]
+			for gj, h := range s.Groups {
+				if gj == gi {
+					continue
+				}
+				bestPair := 0.0
+				for _, d := range h {
+					if w := s.PairW[c][d]; w > bestPair {
+						bestPair = w
+					}
+				}
+				v += bestPair
+			}
+			if v > best {
+				best = v
+			}
+		}
+		optimistic[gi] = best
+	}
+	bestVal := math.Inf(-1)
+	var bestPick []int
+	pick := make([]int, 0, len(s.Groups))
+	var rec func(depth int, acc float64)
+	rec = func(depth int, acc float64) {
+		if depth == len(order) {
+			if acc > bestVal {
+				bestVal = acc
+				bestPick = append([]int(nil), pick...)
+			}
+			return
+		}
+		ub := acc
+		for _, gi := range order[depth:] {
+			ub += optimistic[gi]
+		}
+		if ub <= bestVal+1e-12 {
+			return
+		}
+		gi := order[depth]
+		for _, c := range s.Groups[gi] {
+			delta := s.NodeW[c]
+			for _, p := range pick {
+				delta += s.PairW[c][p]
+			}
+			pick = append(pick, c)
+			rec(depth+1, acc+delta)
+			pick = pick[:len(pick)-1]
+		}
+	}
+	rec(0, 0)
+	byGroup := make([]int, len(s.Groups))
+	for i, gi := range order {
+		byGroup[gi] = bestPick[i]
+	}
+	return byGroup, bestVal
+}
+
+// TestExactBoundKeepsPicks: on dense instances small enough for the
+// node-weight bound, the pair-aware bound returns the very same pick.
+func TestExactBoundKeepsPicks(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		s := denseSel(4+int(seed%6), 2+int(seed%5), 1, seed)
+		want, wantVal := solveExactNodeBound(s)
+		got, val, err := SolveExact(s)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got, want) || val != wantVal {
+			t.Fatalf("seed %d: pick %v (%v), node-weight bound gave %v (%v)", seed, got, val, want, wantVal)
+		}
+	}
+}
+
+// TestExactDenseAtFallbackSize: a 16 x 6 instance with pair weights on 40%
+// of the cross-group pairs — 96 candidates, exactly seltree's
+// LocalFallbackSize, and about a second for the node-weight bound — solves
+// within an eighth of the node budget, and no local-search pick beats it.
+func TestExactDenseAtFallbackSize(t *testing.T) {
+	s := denseSel(16, 6, 0.4, 1)
+	pick, val, err := SolveExactBudget(s, ExactNodeBudget/8)
+	if err != nil {
+		t.Fatalf("16x6: %v", err)
+	}
+	if !approx(s.Value(pick), val) {
+		t.Fatalf("16x6: Value %v, reported %v", s.Value(pick), val)
+	}
+	if _, lv, _ := SolveLocal(s); lv > val+1e-9 {
+		t.Fatalf("16x6: local search %v beats exact %v", lv, val)
+	}
+}
+
+// TestExactNodeBudget: the fully dense 16 x 6 instance needs more nodes
+// than ExactNodeBudget, so SolveExact stops with ErrNodeBudget instead of
+// running on; a budget fails or succeeds the same way every time.
+func TestExactNodeBudget(t *testing.T) {
+	if _, _, err := SolveExact(denseSel(16, 6, 1, 7)); !errors.Is(err, ErrNodeBudget) {
+		t.Fatalf("dense 16x6: err %v, want ErrNodeBudget", err)
+	}
+	small := denseSel(8, 4, 1, 3)
+	for i := 0; i < 2; i++ {
+		if _, _, err := SolveExactBudget(small, 50); !errors.Is(err, ErrNodeBudget) {
+			t.Fatalf("budget 50: err %v, want ErrNodeBudget", err)
+		}
+		if _, _, err := SolveExact(small); err != nil {
+			t.Fatalf("default budget: %v", err)
+		}
+	}
 }

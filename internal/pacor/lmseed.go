@@ -1,8 +1,8 @@
 package pacor
 
 // Cross-run reuse of the candidate-generation and selection sub-stage of
-// routeLMClusters — the flow's single most expensive computation (the MWCP
-// ILP alone is over half of a cold S5 route).
+// routeLMClusters (with the paper's MWCP ILP, selection alone is over half
+// of a cold S5 route; the default exact solver makes it a few percent).
 //
 // Soundness rests on two determinism arguments:
 //
@@ -94,7 +94,7 @@ type LMReuseStats struct {
 	CandClusters int
 	CandReplayed int
 	// SelectionReplayed is true when the MWCP selection was served from the
-	// seed (the ILP did not run).
+	// seed (no solver ran).
 	SelectionReplayed bool
 }
 

@@ -70,7 +70,10 @@ type Params struct {
 	// threshold, so every design at or below 256x256 routes exactly as
 	// before. It seeds Negotiate.Hier unless that is set explicitly.
 	Hier route.HierParams
-	// Solver picks the MWCP solver (the paper adopted ILP).
+	// Solver picks the MWCP solver for candidate tree selection. The default
+	// is exact branch and bound (seltree.SolverExact); seltree.SolverILP is
+	// the paper's choice, kept as an ablation that routes byte-identically
+	// on every Table 1 design (TestSolverParity) at several times the cost.
 	Solver seltree.Solver
 	// EscapeRetries bounds the de-clustering/rip-up escape rounds.
 	EscapeRetries int
@@ -112,7 +115,7 @@ func DefaultParams() Params {
 		MaxCandidates: 6,
 		Lambda:        0.1,
 		Negotiate:     route.DefaultNegotiateParams(),
-		Solver:        seltree.SolverILP,
+		Solver:        seltree.SolverExact,
 		EscapeRetries: 6,
 	}
 }

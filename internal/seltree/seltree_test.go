@@ -1,11 +1,14 @@
 package seltree
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/dme"
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/mwcp"
 )
 
 func candsFor(t *testing.T, obs *grid.ObsMap, clusters [][]geom.Pt, maxCand int) [][]*dme.Tree {
@@ -56,7 +59,7 @@ func TestSelectAvoidsOverlap(t *testing.T) {
 	}
 	sel := buildSelection(cands, 0.1)
 	// Compare the chosen assignment's objective to all single-candidate
-	// alternatives; it must be the maximum (ILP is exact).
+	// alternatives; it must be the maximum (the default solver is exact).
 	flatPick := []int{pick[0], len(cands[0]) + pick[1]}
 	chosen := sel.Value(flatPick)
 	for a := 0; a < len(cands[0]); a++ {
@@ -106,6 +109,55 @@ func TestSelectLocalFallbackOnSize(t *testing.T) {
 		if p < 0 || p >= len(cands[i]) {
 			t.Errorf("pick[%d] = %d out of range", i, p)
 		}
+	}
+}
+
+// TestSelectExactBudgetFallback: an exact search that exhausts its node
+// budget yields the local-search pick rather than an error, and a budget it
+// fits in yields the exact pick.
+func TestSelectExactBudgetFallback(t *testing.T) {
+	g := grid.New(120, 120)
+	obs := grid.NewObsMap(g)
+	var clusters [][]geom.Pt
+	for i := 0; i < 6; i++ {
+		bx, by := (i%3)*36+4, (i/3)*50+4
+		clusters = append(clusters, []geom.Pt{
+			{X: bx, Y: by}, {X: bx + 14, Y: by + 6}, {X: bx, Y: by + 22}, {X: bx + 14, Y: by + 28},
+		})
+	}
+	cands := candsFor(t, obs, clusters, 6)
+	run := func(solver Solver, budget int) []int {
+		defer func(b int) { exactBudget = b }(exactBudget)
+		exactBudget = budget
+		cfg := DefaultConfig()
+		cfg.Solver = solver
+		pick, err := Select(cands, cfg)
+		if err != nil {
+			t.Fatalf("solver %d budget %d: %v", solver, budget, err)
+		}
+		return pick
+	}
+	sel := buildSelection(cands, DefaultConfig().Lambda)
+	flat := func(pick []int) []int {
+		out, base := make([]int, len(pick)), 0
+		for i, p := range pick {
+			out[i] = base + p
+			base += len(cands[i])
+		}
+		return out
+	}
+	if _, _, err := mwcp.SolveExactBudget(sel, 1); !errors.Is(err, mwcp.ErrNodeBudget) {
+		t.Fatalf("budget 1: err %v, want ErrNodeBudget", err)
+	}
+	if got, want := run(SolverExact, 1), run(SolverLocal, 1); !reflect.DeepEqual(got, want) {
+		t.Errorf("exhausted budget picked %v, local search %v", got, want)
+	}
+	exact, _, err := mwcp.SolveExact(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := flat(run(SolverExact, mwcp.ExactNodeBudget)); !reflect.DeepEqual(got, exact) {
+		t.Errorf("default budget picked %v, exact optimum %v", got, exact)
 	}
 }
 
